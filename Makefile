@@ -1,12 +1,13 @@
 # Verification gate for gpssn. `make check` is the single entry CI runs:
-# vet, lint, build, the tier-1 tests, then a race-detector pass (short mode
-# so the heavy bench package stays fast). See docs/CONCURRENCY.md §5.
+# vet, lint, build, the tier-1 tests, a race-detector pass (short mode so
+# the heavy bench package stays fast), then the equality gates under
+# several GOMAXPROCS settings. See docs/CONCURRENCY.md §5.
 
 GO ?= go
 
-.PHONY: check vet lint build test race examples docs-lint serve-smoke fuzz-smoke snapshot-matrix churn-suite crash-suite bench-parallel bench-smoke bench-churn bench-serve bench-scale bench-guard
+.PHONY: check vet lint build test race equality examples docs-lint serve-smoke fuzz-smoke snapshot-matrix churn-suite crash-suite bench-parallel bench-smoke bench-churn bench-serve bench-scale bench-guard
 
-check: vet lint build test race
+check: vet lint build test race equality
 
 vet:
 	$(GO) vet ./...
@@ -28,6 +29,15 @@ test:
 
 race:
 	$(GO) test -race -short -timeout 10m ./...
+
+# The cross-configuration answer gates under real scheduling: memo on/off,
+# parallelism 1/8, hl/ch/dijkstra and the brute-force Baseline, each run
+# three times at GOMAXPROCS 1, 2 and 8. Answers must be bit-identical on
+# every schedule, so a flake here is a defect (docs/CONCURRENCY.md §3).
+EQUALITY_FLAGS = -count=3 -cpu 1,2,8 -timeout 10m
+equality:
+	$(GO) test $(EQUALITY_FLAGS) -run 'TestSharedWork|TestOracleEqualityQueries|TestHLOracleEqualityQueries' .
+	$(GO) test $(EQUALITY_FLAGS) -run 'TestMemoParallelismBitIdentical|TestEngineMatchesBaseline' ./internal/core
 
 # Every runnable example end to end; each is a standalone main that
 # exits non-zero on failure, so this doubles as a living-docs check.

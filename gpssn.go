@@ -163,17 +163,6 @@ type Config struct {
 	// mainly useful for A/B measurement (make bench-serve does exactly
 	// that) and for memory-constrained embedders.
 	DisableSharedWork bool
-	// DisableRefineArena turns off the per-worker refinement arenas (the
-	// grow-only scratch buffers the hot path reuses across anchors).
-	// Answers are bit-identical either way; disabling is an A/B seam for
-	// allocation measurement, not a tuning knob.
-	DisableRefineArena bool
-	// DisableSweepFold turns off folding of refinement's one-to-all
-	// sweeps into batched multi-source passes. Folding already excludes
-	// itself wherever it could alter an answer or a budget trip point
-	// (budgeted queries, label oracles, shared-work engines), so this
-	// too exists for A/B measurement.
-	DisableSweepFold bool
 	// WALPath enables the write-ahead log: every successful dynamic update
 	// is appended (and fsynced per WALSync) to this file before it is
 	// applied, and Open/OpenSnapshot replay the surviving log so committed
@@ -601,12 +590,10 @@ func buildDB(net *Network, c Config) (*DB, error) {
 		return nil, fmt.Errorf("gpssn: building social index: %w", err)
 	}
 	engine := core.NewEngine(ds, road, social, core.Options{
-		SamplingRefine:     c.Sampling,
-		UseCorollary2:      c.Corollary2,
-		Parallelism:        c.Parallelism,
-		SharedWork:         !c.DisableSharedWork,
-		DisableRefineArena: c.DisableRefineArena,
-		DisableSweepFold:   c.DisableSweepFold,
+		SamplingRefine: c.Sampling,
+		UseCorollary2:  c.Corollary2,
+		Parallelism:    c.Parallelism,
+		SharedWork:     !c.DisableSharedWork,
 	})
 	return &DB{
 		net: net, engine: engine, cfg: c,

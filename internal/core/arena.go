@@ -14,27 +14,22 @@ import (
 // that worker processes, so after the first few anchors the steady state
 // allocates nothing per anchor and nothing per user evaluation:
 //
-//   - atts/out back makeMOf's ball attachment list and distance output
-//     (previously one make per anchor each),
-//   - lbl is the source attachment-label scratch the label kernel merges
-//     from (previously a sync.Pool Get/Put per user evaluation),
-//   - kws is the ball keyword set (previously one bitset per anchor),
-//   - comps/users/prefold back processAnchor's companion bookkeeping.
+//   - atts/out back makeMOf's ball attachment list and distance output,
+//   - lbl is the scratch a user's attachment label is built in before the
+//     user store takes an exactly sized copy,
+//   - kws is the ball keyword set,
+//   - comps/users back processAnchor's companion bookkeeping.
 //
 // Arenas are engine-owned (arenaPool) and recycled across queries, so the
-// steady-state per-query cost is a pool pop and push. Opts.DisableRefineArena
-// turns all of this off — callers then allocate exactly as before — which is
-// the A/B seam the equality gates and the benchmarks use; answers are
-// bit-identical either way because the arena only changes where scratch
-// memory lives, never what is computed.
+// steady-state per-query cost is a pool pop and push. The arena only
+// changes where scratch memory lives, never what is computed.
 type refineArena struct {
-	atts    []roadnet.Attach
-	out     []float64
-	lbl     roadnet.HubLabel
-	kws     TopicSet
-	comps   []anchorComp
-	users   []socialnet.UserID
-	prefold []socialnet.UserID
+	atts  []roadnet.Attach
+	out   []float64
+	lbl   roadnet.HubLabel
+	kws   TopicSet
+	comps []anchorComp
+	users []socialnet.UserID
 
 	owner    *arenaPool
 	retained int64 // bytes currently held by the slices above
@@ -73,20 +68,18 @@ func (a *refineArena) floatBuf(n int) []float64 {
 	return a.out[:n]
 }
 
-// label returns the reusable attachment-label scratch, emptied. The label
-// is only valid until the next label() call on the same arena, which is
-// exactly the lifetime the evaluation loop needs (one user at a time).
-func (a *refineArena) label() *roadnet.HubLabel {
+// attachLabel builds the hub label of attachment at in the arena's label
+// scratch and copies it into dst, exactly sized: the scratch absorbs the
+// append growth, so a build costs two allocations however long the label.
+func (a *refineArena) attachLabel(g *roadnet.Graph, at roadnet.Attach, dst *roadnet.HubLabel) {
 	a.lbl.Reset()
-	return &a.lbl
-}
-
-// labelGrew re-measures the label scratch after a merge wrote into it
-// (SeedLabel appends, so capacity can only grow).
-func (a *refineArena) labelGrew(before int) {
+	before := cap(a.lbl.Hubs)
+	g.AttachLabel(at, &a.lbl)
 	if d := cap(a.lbl.Hubs) - before; d > 0 {
 		a.account(int64(d) * 12)
 	}
+	dst.Hubs = append([]int32(nil), a.lbl.Hubs...)
+	dst.Dist = append([]float64(nil), a.lbl.Dist...)
 }
 
 // keywords returns the reusable ball keyword set, cleared, for a
@@ -125,19 +118,6 @@ func (a *refineArena) userBuf(n int) []socialnet.UserID {
 	return a.users[:n]
 }
 
-// prefoldBuf returns the empty prefold scratch slice (see keepPrefold).
-func (a *refineArena) prefoldBuf() []socialnet.UserID {
-	return a.prefold[:0]
-}
-
-// keepPrefold is keepComps for the prefold user list.
-func (a *refineArena) keepPrefold(s []socialnet.UserID) {
-	if cap(s) > cap(a.prefold) {
-		a.account(int64(cap(s)-cap(a.prefold)) * int64(userIDSize))
-	}
-	a.prefold = s
-}
-
 // Element sizes for the byte gauge. Attach is (EdgeID int32, T float64)
 // padded to 16; UserID is an int32; anchorComp is (int32 pad + float64).
 const (
@@ -163,12 +143,8 @@ type arenaPool struct {
 // of wide queries does not pin its high-water scratch forever.
 const arenaMaxFree = 32
 
-// acquire returns a recycled or fresh arena; nil when the arena layer is
-// disabled (the caller then allocates per anchor exactly as before).
+// acquireArena returns a recycled or fresh arena.
 func (e *Engine) acquireArena() *refineArena {
-	if e.Opts.DisableRefineArena {
-		return nil
-	}
 	p := &e.arenas
 	p.mu.Lock()
 	if n := len(p.free); n > 0 {
@@ -181,11 +157,8 @@ func (e *Engine) acquireArena() *refineArena {
 	return &refineArena{owner: p}
 }
 
-// releaseArena returns an arena to the free list. nil-safe.
+// releaseArena returns an arena to the free list.
 func (e *Engine) releaseArena(a *refineArena) {
-	if a == nil {
-		return
-	}
 	p := &e.arenas
 	p.mu.Lock()
 	if len(p.free) < arenaMaxFree {
@@ -227,9 +200,7 @@ func (e *Engine) MemoryStats() MemoryStats {
 		ms.OracleBytes = o.MemoryBytes()
 	}
 	if sw := e.shared; sw != nil {
-		sw.mu.Lock()
-		ms.MemoBytes = sw.userBytes
-		sw.mu.Unlock()
+		_, ms.MemoBytes = sw.users.occupancy()
 	}
 	return ms
 }

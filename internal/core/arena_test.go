@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"gpssn/internal/model"
-	"gpssn/internal/roadnet"
 	"gpssn/internal/roadnet/ch"
 	"gpssn/internal/roadnet/hl"
 	"gpssn/internal/socialnet"
@@ -12,8 +11,8 @@ import (
 
 // sameResults compares two top-k answer lists bit-for-bit: identical
 // costs (exact float equality, not tolerance), anchors, groups and balls.
-// This is the contract the arena and fold layers must meet — they move
-// scratch memory and batch searches, they never change a computed value.
+// This is the contract the memo, the arenas and the worker fan-out must
+// meet — they move work and scratch memory, they never change a value.
 func sameResults(t *testing.T, label string, got, want []Result) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -42,11 +41,11 @@ func sameResults(t *testing.T, label string, got, want []Result) {
 	}
 }
 
-// TestArenaFoldTogglesBitIdentical is the PR's equality gate: every
-// combination of {arena on/off} x {fold on/off} x {P=1, P=8} must return
-// byte-identical top-k answers under each oracle family (plain Dijkstra,
-// CH, HL). The reference is the everything-off sequential engine.
-func TestArenaFoldTogglesBitIdentical(t *testing.T) {
+// TestMemoParallelismBitIdentical is the refinement equality gate: memo
+// {on, off} x {P=1, P=8} must return byte-identical top-k answers under
+// each oracle family (plain Dijkstra, CH, HL). The reference is the
+// memo-off sequential engine.
+func TestMemoParallelismBitIdentical(t *testing.T) {
 	ds := smallDataset(t, 23)
 	p := Params{Gamma: 0.2, Tau: 3, Theta: 0.3, R: 2, Metric: MetricDotProduct}
 	queryUsers := []socialnet.UserID{2, 19, 44}
@@ -63,54 +62,51 @@ func TestArenaFoldTogglesBitIdentical(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"arena+fold", Options{}},
-		{"arena-only", Options{DisableSweepFold: true}},
-		{"fold-only", Options{DisableRefineArena: true}},
-		{"arena+fold-p8", Options{Parallelism: 8}},
-		{"none-p8", Options{Parallelism: 8, DisableRefineArena: true, DisableSweepFold: true}},
-		{"arena+fold+memo", Options{SharedWork: true}},
+		{"memo-off-p8", Options{Parallelism: 8}},
+		{"memo-on-p1", Options{Parallelism: 1, SharedWork: true}},
+		{"memo-on-p8", Options{Parallelism: 8, SharedWork: true}},
 	}
 	defer ds.Road.SetDistanceOracle(nil)
 	for _, o := range oracles {
 		o.attach()
-		ref := buildEngine(t, ds, Options{
-			Parallelism: 1, DisableRefineArena: true, DisableSweepFold: true,
-		})
-		for _, uq := range queryUsers {
-			want, _, err := ref.QueryTopK(uq, p, 2)
-			if err != nil {
-				t.Fatalf("%s ref uq %d: %v", o.name, uq, err)
-			}
-			for _, v := range variants {
-				e := buildEngine(t, ds, v.opts)
-				got, _, err := e.QueryTopK(uq, p, 2)
-				if err != nil {
-					t.Fatalf("%s/%s uq %d: %v", o.name, v.name, uq, err)
+		ref := buildEngine(t, ds, Options{Parallelism: 1})
+		for _, v := range variants {
+			e := buildEngine(t, ds, v.opts)
+			// Twice per engine: the second pass runs against a warm memo.
+			for pass := 0; pass < 2; pass++ {
+				for _, uq := range queryUsers {
+					want, _, err := ref.QueryTopK(uq, p, 2)
+					if err != nil {
+						t.Fatalf("%s ref uq %d: %v", o.name, uq, err)
+					}
+					got, _, err := e.QueryTopK(uq, p, 2)
+					if err != nil {
+						t.Fatalf("%s/%s uq %d: %v", o.name, v.name, uq, err)
+					}
+					sameResults(t, o.name+"/"+v.name, got, want)
 				}
-				sameResults(t, o.name+"/"+v.name, got, want)
 			}
 		}
 	}
 }
 
 // TestLabelEvalZeroAllocsWithArena pins the arena's core claim with the
-// allocator's own counter: once the per-query cache holds a user's
-// attachment label, evaluating M(u) through the arena-backed label kernel
-// allocates nothing at all.
+// allocator's own counter: once the user store holds a user's attachment
+// label, evaluating M(u) through the arena-backed label kernel allocates
+// nothing at all.
 func TestLabelEvalZeroAllocsWithArena(t *testing.T) {
 	ds := smallDataset(t, 24)
 	ds.Road.SetDistanceOracle(hl.Build(ds.Road))
 	defer ds.Road.SetDistanceOracle(nil)
 	e := buildEngine(t, ds, Options{})
 
-	cache := newVertexDistCache()
 	ar := e.acquireArena()
 	defer e.releaseArena(ar)
 	ball := []model.POIID{0, 1, 2, 3, 4}
-	mOf := e.makeMOf(cache, ball, nil, nil, nil, ar)
+	mOf := e.makeMOf(e.newUserView(), ball, nil, nil, nil, ar)
 	users := []socialnet.UserID{1, 5, 9, 13, 17}
 	for _, u := range users {
-		mOf(u) // warm: every label is admitted to the cache
+		mOf(u) // warm: every label enters the store
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, u := range users {
@@ -122,33 +118,34 @@ func TestLabelEvalZeroAllocsWithArena(t *testing.T) {
 	}
 }
 
-// TestQueryAllocsDropWithArena compares whole-query allocation counts with
-// the arena on and off over the same engine state: the arena path must
-// allocate measurably less, and rebuilding the evaluator per anchor must
-// not allocate per ball entry.
+// TestQueryAllocsDropWithArena bounds whole-query allocations on a warm
+// engine: the arenas keep per-anchor scratch off the allocator. On this
+// input a query makes about 830 allocations (about 1070 under the race
+// detector), about 40 of them for its private user store's entries;
+// without arenas it made 1048 (1246 under the race detector).
 func TestQueryAllocsDropWithArena(t *testing.T) {
 	ds := smallDataset(t, 25)
 	ds.Road.SetDistanceOracle(hl.Build(ds.Road))
 	defer ds.Road.SetDistanceOracle(nil)
 	p := Params{Gamma: 0.2, Tau: 3, Theta: 0.3, R: 2, Metric: MetricDotProduct}
 
-	measure := func(opts Options) float64 {
-		e := buildEngine(t, ds, opts)
-		if _, _, err := e.Query(19, p); err != nil { // warm arenas + pools
+	e := buildEngine(t, ds, Options{Parallelism: 1})
+	if _, _, err := e.Query(19, p); err != nil { // warm arenas + pools
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, _, err := e.Query(19, p); err != nil {
 			t.Fatal(err)
 		}
-		return testing.AllocsPerRun(10, func() {
-			if _, _, err := e.Query(19, p); err != nil {
-				t.Fatal(err)
-			}
-		})
+	})
+	bound := 850.0
+	if raceEnabled {
+		bound = 1100
 	}
-	with := measure(Options{Parallelism: 1})
-	without := measure(Options{Parallelism: 1, DisableRefineArena: true})
-	if with >= without {
-		t.Errorf("arena query allocates %.0f objects, no-arena %.0f: arena must allocate less", with, without)
+	if allocs > bound {
+		t.Errorf("query allocates %.0f objects, bound %.0f", allocs, bound)
 	}
-	t.Logf("allocs per query: arena=%.0f no-arena=%.0f", with, without)
+	t.Logf("allocs per query: %.0f", allocs)
 }
 
 // TestArenaByteAccounting checks the telemetry gauge against hand-computed
@@ -157,9 +154,6 @@ func TestArenaByteAccounting(t *testing.T) {
 	ds := smallDataset(t, 26)
 	e := buildEngine(t, ds, Options{})
 	ar := e.acquireArena()
-	if ar == nil {
-		t.Fatal("arena disabled by default options")
-	}
 	ar.attachBuf(10)
 	ar.floatBuf(10)
 	ar.userBuf(4)
@@ -228,41 +222,3 @@ func TestEngineMemoryStats(t *testing.T) {
 		t.Errorf("MemoryStats.ArenaBytes %d != ArenaBytes() %d", ms.ArenaBytes, e.ArenaBytes())
 	}
 }
-
-// TestPrefoldRespectsCacheCaps forces a cache with almost no room and
-// checks the fold still never overfills it — folded arrays are capped to
-// the slots left, and answers are unchanged (covered by the gate above).
-func TestPrefoldRespectsCacheCaps(t *testing.T) {
-	ds := smallDataset(t, 28)
-	e := buildEngine(t, ds, Options{})
-	cache := newVertexDistCacheWith(3, 1<<30)
-	keeper := newSharedKeeper(1)
-	kws := NewTopicSet(ds.NumTopics)
-	for o := range ds.POIs {
-		for _, k := range ds.POIs[o].Keywords {
-			kws.Add(k)
-		}
-	}
-	var cand []socialnet.UserID
-	for u := range ds.Users {
-		cand = append(cand, socialnet.UserID(u))
-	}
-	e.prefoldArrays(cache, cand, kws, 0, keeper, nil, nil)
-	if got := cache.entries(); got > 3 {
-		t.Fatalf("fold overfilled the cache: %d entries, cap 3", got)
-	}
-	if got := cache.entries(); got != 3 {
-		t.Fatalf("fold should fill the remaining %d slots, stored %d", 3, got)
-	}
-	// Folded arrays must equal the solo sweeps bit for bit.
-	for u, dv := range cache.arrays {
-		solo := e.userVertexDist(u, nil)
-		for v := range solo {
-			if dv[v] != solo[v] {
-				t.Fatalf("user %d vertex %d: folded %v != solo %v", u, v, dv[v], solo[v])
-			}
-		}
-	}
-}
-
-var _ = roadnet.Seed{} // keep the roadnet import when builds strip tests

@@ -57,25 +57,11 @@ type Options struct {
 	// SharedWork enables the cross-query shared-work memo: anchor balls
 	// and per-user sweep state (one-to-all arrays / attachment labels)
 	// are computed once and shared across concurrent queries instead of
-	// once per query. Answers are bit-identical either way; see
-	// docs/CONCURRENCY.md §6 for the invalidation and copy-on-read rules.
+	// once per query. With it off, each query keeps its per-user state in
+	// a private store under query-scope caps. Answers are bit-identical
+	// either way; see docs/CONCURRENCY.md §6 for the invalidation and
+	// copy-on-read rules.
 	SharedWork bool
-	// DisableRefineArena turns off the per-worker refinement arenas: every
-	// anchor and user evaluation allocates its transient scratch exactly as
-	// before (per-anchor makes, pooled labels). The arena only changes
-	// where scratch memory lives, never what is computed, so answers are
-	// bit-identical either way; the switch exists for A/B measurement and
-	// the equality gates.
-	DisableRefineArena bool
-	// DisableSweepFold turns off the folded batch sweeps: refinement's
-	// array-strategy path computes each per-user one-to-all array with its
-	// own solo search instead of folding the batch into one shared
-	// downward sweep (roadnet.BatchOracle). Folding charges the checkpoint
-	// at solo rates and produces bit-identical arrays, so unbudgeted
-	// answers are identical either way; budgeted queries skip folding
-	// entirely (see Checkpoint.Budgeted), so even truncated answers never
-	// depend on this switch.
-	DisableSweepFold bool
 }
 
 // Engine answers GP-SSN queries over a dataset through the I_R and I_S
@@ -109,8 +95,7 @@ type Engine struct {
 	// the per-update-kind hooks in dynamic.go.
 	shared *sharedWork
 
-	// arenas recycles the per-worker refinement scratch (see arena.go);
-	// unused when Opts.DisableRefineArena is set.
+	// arenas recycles the per-worker refinement scratch (see arena.go).
 	arenas arenaPool
 }
 
@@ -197,6 +182,10 @@ type qctx struct {
 	social *pagesim.Tracker
 	trace  *bytes.Buffer
 
+	// users is the query's view of the per-user distance store (see
+	// userView): the probe fills it and refinement reads it.
+	users *userView
+
 	// Cancellation/budget state (see cancel.go). ctx is the caller's
 	// context (context.Background() from the legacy entry points), ck the
 	// cooperative checkpoint shared with the road-network searches — nil
@@ -221,6 +210,7 @@ func (e *Engine) newQctx(st *Stats) *qctx {
 		st:     st,
 		road:   e.Road.Store.NewTracker(),
 		social: e.Social.Store.NewTracker(),
+		users:  e.newUserView(),
 	}
 	if e.Opts.Trace != nil {
 		q.trace = &bytes.Buffer{}
@@ -289,8 +279,8 @@ func (e *Engine) QueryCtx(ctx context.Context, uq socialnet.UserID, p Params) (R
 	// the pruning threshold δ with the cost of a verified feasible
 	// solution, so distance pruning is armed from the first index level.
 	probe := e.probe(uq, p, q)
-	q.tracef("probe: found=%v cost=%.4f", probe.res.Found, probe.res.MaxDist)
-	trav := e.traverse(uq, p, 1, probe.res.MaxDist, q)
+	q.tracef("probe: found=%v cost=%.4f", probe.Found, probe.MaxDist)
+	trav := e.traverse(uq, p, 1, probe.MaxDist, q)
 	q.tracef("traversal: %d candidate users, %d candidate anchors, delta=%.4f",
 		len(trav.candUsers), len(trav.candAnchors), trav.delta)
 	var res []Result
@@ -346,7 +336,7 @@ func (e *Engine) QueryTopKCtx(ctx context.Context, uq socialnet.UserID, p Params
 	probe := e.probe(uq, p, q)
 	delta0 := math.Inf(1)
 	if k == 1 {
-		delta0 = probe.res.MaxDist
+		delta0 = probe.MaxDist
 	}
 	trav := e.traverse(uq, p, k, delta0, q)
 	var res []Result

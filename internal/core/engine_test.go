@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -106,6 +107,70 @@ func checkFeasible(t *testing.T, ds *model.Dataset, uq socialnet.UserID, p Param
 	}
 }
 
+// tiedDataset is the tie-heavy input of the Baseline gates: its 40 POIs
+// sit on 7 edges, so many anchors share one ball and tie exactly on cost,
+// and the answer hangs on the canonical anchor-id tie-break.
+func tiedDataset(t testing.TB) *model.Dataset {
+	t.Helper()
+	ds, err := gen.Synthetic(gen.Config{
+		Name: "engine-test-tied", Seed: 1,
+		RoadVertices: 120, SocialUsers: 60, POIs: 40, Topics: 6, MaxPOIsPerEdge: 10,
+	})
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	return ds
+}
+
+// baselineInput is one dataset of the engine-vs-Baseline gates.
+type baselineInput struct {
+	name string
+	ds   *model.Dataset
+}
+
+// baselineInputs is the input table of the engine-vs-Baseline gates: one
+// small dataset per seed, then the tie-heavy one.
+func baselineInputs(t testing.TB, seeds ...int64) []baselineInput {
+	var in []baselineInput
+	for _, seed := range seeds {
+		in = append(in, baselineInput{fmt.Sprintf("seed%d", seed), smallDataset(t, seed)})
+	}
+	return append(in, baselineInput{"tied", tiedDataset(t)})
+}
+
+// countTies counts adjacent equal-cost results: the tie-heavy input must
+// really produce them, or it guards nothing.
+func countTies(rs []Result) int {
+	n := 0
+	for i := 1; i < len(rs); i++ {
+		if rs[i].MaxDist == rs[i-1].MaxDist {
+			n++
+		}
+	}
+	return n
+}
+
+// matchBaselineTopK checks engine top-k answers against the Baseline's:
+// the same anchors and groups in the same order, costs up to float
+// association order. Anchors tied on cost must come out in the canonical
+// order too, so a tied anchor lost to a prune shows up here.
+func matchBaselineTopK(t *testing.T, label string, got, want []Result) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d top-k results, baseline %d", label, len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Anchor != w.Anchor || fmt.Sprint(g.S) != fmt.Sprint(w.S) || math.Abs(g.MaxDist-w.MaxDist) > 1e-6 {
+			t.Fatalf("%s: top-k[%d] = anchor %d S=%v cost %v, baseline anchor %d S=%v cost %v",
+				label, i, g.Anchor, g.S, g.MaxDist, w.Anchor, w.S, w.MaxDist)
+		}
+	}
+}
+
+// TestEngineMatchesBaselineOracle is the brute-force oracle gate: Query
+// costs and QueryTopK lists at P1 and P8 must equal the Baseline's on
+// every input, the tie-heavy one included.
 func TestEngineMatchesBaselineOracle(t *testing.T) {
 	params := []Params{
 		{Gamma: 0.2, Tau: 2, Theta: 0.3, R: 2, Metric: MetricDotProduct},
@@ -114,31 +179,51 @@ func TestEngineMatchesBaselineOracle(t *testing.T) {
 		{Gamma: 0.4, Tau: 4, Theta: 0.4, R: 3, Metric: MetricDotProduct},
 		{Gamma: 0.0, Tau: 2, Theta: 0.0, R: 0.5, Metric: MetricDotProduct},
 	}
-	for seed := int64(1); seed <= 3; seed++ {
-		ds := smallDataset(t, seed)
-		e := buildEngine(t, ds, Options{})
+	ties := 0
+	for _, in := range baselineInputs(t, 1, 2, 3) {
+		ds := in.ds
+		engines := map[string]*Engine{
+			"P1": buildEngine(t, ds, Options{Parallelism: 1}),
+			"P8": buildEngine(t, ds, Options{Parallelism: 8}),
+		}
 		oracle := &Baseline{DS: ds}
 		for pi, p := range params {
 			for _, uq := range []socialnet.UserID{0, 7, 33} {
-				got, _, err := e.Query(uq, p)
-				if err != nil {
-					t.Fatalf("seed %d params %d uq %d: %v", seed, pi, uq, err)
+				wantK, _ := oracle.QueryTopK(uq, p, 3)
+				want := Result{MaxDist: math.Inf(1)}
+				if len(wantK) > 0 {
+					want = wantK[0]
 				}
-				want, _ := oracle.Query(uq, p)
-				if got.Found != want.Found {
-					t.Fatalf("seed %d params %d uq %d: found=%v oracle=%v",
-						seed, pi, uq, got.Found, want.Found)
+				if in.name == "tied" {
+					ties += countTies(wantK)
 				}
-				if !got.Found {
-					continue
+				for name, e := range engines {
+					label := fmt.Sprintf("%s %s params %d uq %d", in.name, name, pi, uq)
+					got, _, err := e.Query(uq, p)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if got.Found != want.Found {
+						t.Fatalf("%s: found=%v oracle=%v", label, got.Found, want.Found)
+					}
+					if got.Found {
+						if math.Abs(got.MaxDist-want.MaxDist) > 1e-6 {
+							t.Fatalf("%s: cost %v != oracle %v (S=%v R=%v vs S=%v R=%v)",
+								label, got.MaxDist, want.MaxDist, got.S, got.R, want.S, want.R)
+						}
+						checkFeasible(t, ds, uq, p, got)
+					}
+					gotK, _, err := e.QueryTopK(uq, p, 3)
+					if err != nil {
+						t.Fatalf("%s top-k: %v", label, err)
+					}
+					matchBaselineTopK(t, label, gotK, wantK)
 				}
-				if math.Abs(got.MaxDist-want.MaxDist) > 1e-6 {
-					t.Fatalf("seed %d params %d uq %d: cost %v != oracle %v (S=%v R=%v vs S=%v R=%v)",
-						seed, pi, uq, got.MaxDist, want.MaxDist, got.S, got.R, want.S, want.R)
-				}
-				checkFeasible(t, ds, uq, p, got)
 			}
 		}
+	}
+	if ties == 0 {
+		t.Fatal("tie-heavy input produced no tied top-k costs")
 	}
 }
 
@@ -414,5 +499,26 @@ func TestRefineBudgetBoundsWorkAndStaysFeasible(t *testing.T) {
 				t.Fatal("budgeted result beat the optimum")
 			}
 		}
+	}
+}
+
+// TestPivotBoundKeepsTies pins the rounding margin of the companion prune:
+// a pivot bound within rounding of the incumbent bound (the tie case) must
+// not prune, a clearly larger one must, and unreachable pivots carry no
+// information.
+func TestPivotBoundKeepsTies(t *testing.T) {
+	du, dv := []float64{17.25, 3}, []float64{4.5, 3}
+	tie := du[0] - dv[0]
+	if pivotBoundExceeds(du, dv, math.Nextafter(tie, 0)) {
+		t.Fatal("bound one ULP below the pivot bound pruned a tie")
+	}
+	if pivotBoundExceeds(du, dv, tie) {
+		t.Fatal("bound equal to the pivot bound pruned a tie")
+	}
+	if !pivotBoundExceeds(du, dv, tie*0.99) {
+		t.Fatal("bound 1% below the pivot bound did not prune")
+	}
+	if pivotBoundExceeds([]float64{math.Inf(1), 0}, []float64{5, 0}, 1) {
+		t.Fatal("unreachable pivot pruned")
 	}
 }

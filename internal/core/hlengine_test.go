@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -9,9 +10,10 @@ import (
 )
 
 // TestEngineMatchesBaselineUnderHL reruns the engine-vs-Baseline oracle
-// gate with the hub-label oracle attached, across every ablation variant:
-// the batched label kernel must leave answers exact whichever pruning
-// stages are toggled.
+// gate with the hub-label oracle attached, across every ablation variant
+// and at P1 and P8: the batched label kernel must leave answers and top-k
+// lists exact whichever pruning stages are toggled, on the tie-heavy input
+// too.
 func TestEngineMatchesBaselineUnderHL(t *testing.T) {
 	params := []Params{
 		{Gamma: 0.2, Tau: 2, Theta: 0.3, R: 2, Metric: MetricDotProduct},
@@ -24,32 +26,55 @@ func TestEngineMatchesBaselineUnderHL(t *testing.T) {
 		"no-distance-pruning": {DisableDistancePruning: true},
 		"corollary2":          {UseCorollary2: true},
 		"both-off":            {DisableIndexPruning: true, DisableDistancePruning: true},
+		"parallel-1":          {Parallelism: 1},
 		"parallel-8":          {Parallelism: 8},
 	}
-	ds := smallDataset(t, 9)
-	ds.Road.SetDistanceOracle(hl.Build(ds.Road))
-	defer ds.Road.SetDistanceOracle(nil)
-	oracle := &Baseline{DS: ds}
-	for pi, p := range params {
-		for _, uq := range []socialnet.UserID{2, 19, 44} {
-			want, _ := oracle.Query(uq, p)
-			for name, opts := range variants {
-				e := buildEngine(t, ds, opts)
-				got, _, err := e.Query(uq, p)
-				if err != nil {
-					t.Fatalf("%s params %d uq %d: %v", name, pi, uq, err)
+	ties := 0
+	for _, in := range baselineInputs(t, 9) {
+		ds := in.ds
+		ds.Road.SetDistanceOracle(hl.Build(ds.Road))
+		oracle := &Baseline{DS: ds}
+		engines := map[string]*Engine{}
+		for name, opts := range variants {
+			engines[name] = buildEngine(t, ds, opts)
+		}
+		for pi, p := range params {
+			for _, uq := range []socialnet.UserID{2, 19, 44} {
+				wantK, _ := oracle.QueryTopK(uq, p, 3)
+				want := Result{MaxDist: math.Inf(1)}
+				if len(wantK) > 0 {
+					want = wantK[0]
 				}
-				if got.Found != want.Found {
-					t.Fatalf("%s params %d uq %d: found=%v, baseline %v", name, pi, uq, got.Found, want.Found)
+				if in.name == "tied" {
+					ties += countTies(wantK)
 				}
-				if got.Found && math.Abs(got.MaxDist-want.MaxDist) > 1e-6 {
-					t.Fatalf("%s params %d uq %d: cost %v, baseline %v (S=%v R=%v vs S=%v R=%v)",
-						name, pi, uq, got.MaxDist, want.MaxDist, got.S, got.R, want.S, want.R)
-				}
-				if got.Found {
-					checkFeasible(t, ds, uq, p, got)
+				for name, e := range engines {
+					label := fmt.Sprintf("%s %s params %d uq %d", in.name, name, pi, uq)
+					got, _, err := e.Query(uq, p)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if got.Found != want.Found {
+						t.Fatalf("%s: found=%v, baseline %v", label, got.Found, want.Found)
+					}
+					if got.Found && math.Abs(got.MaxDist-want.MaxDist) > 1e-6 {
+						t.Fatalf("%s: cost %v, baseline %v (S=%v R=%v vs S=%v R=%v)",
+							label, got.MaxDist, want.MaxDist, got.S, got.R, want.S, want.R)
+					}
+					if got.Found {
+						checkFeasible(t, ds, uq, p, got)
+					}
+					gotK, _, err := e.QueryTopK(uq, p, 3)
+					if err != nil {
+						t.Fatalf("%s top-k: %v", label, err)
+					}
+					matchBaselineTopK(t, label, gotK, wantK)
 				}
 			}
 		}
+		ds.Road.SetDistanceOracle(nil)
+	}
+	if ties == 0 {
+		t.Fatal("tie-heavy input produced no tied top-k costs")
 	}
 }

@@ -16,22 +16,13 @@ import (
 	"gpssn/internal/socialnet"
 )
 
-// probeResult carries the incumbent found by the pre-traversal probe and
-// the per-user distance cache it warmed up (reused by refinement).
-type probeResult struct {
-	res   Result
-	cache *vertexDistCache
-}
-
 // probe searches for one feasible solution around the issuer's nearest
 // anchor POIs by greedy connected group growth. Its cost, when found, is a
 // sound upper bound on the optimum (it is the cost of an actual feasible
-// pair), so it can seed δ and the refinement incumbent.
-func (e *Engine) probe(uq socialnet.UserID, p Params, q *qctx) probeResult {
-	pr := probeResult{
-		res:   Result{MaxDist: math.Inf(1)},
-		cache: newVertexDistCache(),
-	}
+// pair), so it can seed δ and the refinement incumbent. The user state it
+// computes stays in the query's user view for refinement to reuse.
+func (e *Engine) probe(uq socialnet.UserID, p Params, q *qctx) Result {
+	best := Result{MaxDist: math.Inf(1)}
 	ds := e.DS
 	uqW := ds.Users[uq].Interests
 	ar := e.acquireArena()
@@ -52,9 +43,9 @@ func (e *Engine) probe(uq socialnet.UserID, p Params, q *qctx) probeResult {
 		if MatchScoreSet(uqW, kws) < p.Theta {
 			return
 		}
-		mOf := e.makeMOf(pr.cache, ball, tl, nil, q.ck, ar)
+		mOf := e.makeMOf(q.users, ball, tl, nil, q.ck, ar)
 		mUq := mOf(uq)
-		if mUq >= pr.res.MaxDist {
+		if mUq >= best.MaxDist {
 			return
 		}
 		cur := []socialnet.UserID{uq}
@@ -100,12 +91,12 @@ func (e *Engine) probe(uq socialnet.UserID, p Params, q *qctx) probeResult {
 				curMax = bestM
 			}
 		}
-		if len(cur) == p.Tau && curMax < pr.res.MaxDist {
+		if len(cur) == p.Tau && curMax < best.MaxDist {
 			s := append([]socialnet.UserID(nil), cur...)
 			sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 			r := append([]model.POIID(nil), ball...)
 			sort.Slice(r, func(i, j int) bool { return r[i] < r[j] })
-			pr.res = Result{Found: true, S: s, R: r, Anchor: anchor, MaxDist: curMax}
+			best = Result{Found: true, S: s, R: r, Anchor: anchor, MaxDist: curMax}
 		}
 	}
 	for _, nb := range nn {
@@ -114,18 +105,18 @@ func (e *Engine) probe(uq socialnet.UserID, p Params, q *qctx) probeResult {
 	// Second round: anchors near the found group's centroid usually beat
 	// anchors near the issuer alone, and a tighter incumbent is the main
 	// lever on δ-pruning.
-	if pr.res.Found {
+	if best.Found {
 		var cx, cy float64
-		for _, u := range pr.res.S {
+		for _, u := range best.S {
 			cx += ds.Users[u].Loc.X
 			cy += ds.Users[u].Loc.Y
 		}
-		n := float64(len(pr.res.S))
+		n := float64(len(best.S))
 		for _, nb := range e.Road.Tree.Nearest(geo.Pt(cx/n, cy/n), probeAnchors) {
 			tryAnchor(model.POIID(nb.Item.ID))
 		}
 	}
-	return pr
+	return best
 }
 
 // lexLessUsers compares two sorted user groups lexicographically.
@@ -248,199 +239,11 @@ func (sk *sharedKeeper) add(r Result) {
 	}
 }
 
-// Capacity bounds for the per-query distance cache. Before these bounds a
-// single wide query could pin O(touched-users · V) float64 in memory; with
-// a hub-label oracle attached the cache holds label-sized entries (tens of
-// pairs per user) instead of O(V) arrays, and either way the caps below
-// hold. Rejected puts are benign: callers recompute, and recomputation
-// yields bit-identical values, so answers never depend on cache occupancy.
-const (
-	distCacheMaxEntries = 512
-	distCacheMaxBytes   = 32 << 20
-)
-
-// vertexDistCache shares per-user distance state across the probe and the
-// refinement workers: full one-to-all arrays under plain oracles, hub
-// labels (roadnet.HubLabel) under a label oracle. Entries are
-// first-write-wins — two workers may race to compute the same user's
-// entry; both compute identical values, so keeping the first is benign —
-// and puts beyond the entry or byte cap are rejected rather than evicted
-// (the cache is per-query and short-lived; eviction bookkeeping would cost
-// more than the recomputation it saves).
-type vertexDistCache struct {
-	mu         sync.Mutex
-	arrays     map[socialnet.UserID][]float64
-	labels     map[socialnet.UserID]*roadnet.HubLabel
-	bytes      int64
-	maxEntries int
-	maxBytes   int64
-	rejected   int64
-}
-
-func newVertexDistCache() *vertexDistCache {
-	return newVertexDistCacheWith(distCacheMaxEntries, distCacheMaxBytes)
-}
-
-func newVertexDistCacheWith(maxEntries int, maxBytes int64) *vertexDistCache {
-	return &vertexDistCache{
-		arrays:     map[socialnet.UserID][]float64{},
-		labels:     map[socialnet.UserID]*roadnet.HubLabel{},
-		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
-	}
-}
-
-func (c *vertexDistCache) getArray(u socialnet.UserID) ([]float64, bool) {
-	c.mu.Lock()
-	dv, ok := c.arrays[u]
-	c.mu.Unlock()
-	return dv, ok
-}
-
-// putArray stores u's one-to-all array unless u is already present or the
-// caps would be exceeded. Reports whether the entry was stored.
-func (c *vertexDistCache) putArray(u socialnet.UserID, dv []float64) bool {
-	nb := int64(8 * len(dv))
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.arrays[u]; ok {
-		return false
-	}
-	if len(c.arrays)+len(c.labels) >= c.maxEntries || c.bytes+nb > c.maxBytes {
-		c.rejected++
-		return false
-	}
-	c.arrays[u] = dv
-	c.bytes += nb
-	return true
-}
-
-func (c *vertexDistCache) getLabel(u socialnet.UserID) (*roadnet.HubLabel, bool) {
-	c.mu.Lock()
-	l, ok := c.labels[u]
-	c.mu.Unlock()
-	return l, ok
-}
-
-// putLabel stores u's attachment label unless u is already present or the
-// caps would be exceeded. On true the cache owns l (it must not be
-// released to the pool); on false the caller keeps ownership.
-func (c *vertexDistCache) putLabel(u socialnet.UserID, l *roadnet.HubLabel) bool {
-	nb := int64(12 * l.Len())
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.labels[u]; ok {
-		return false
-	}
-	if len(c.arrays)+len(c.labels) >= c.maxEntries || c.bytes+nb > c.maxBytes {
-		c.rejected++
-		return false
-	}
-	c.labels[u] = l
-	c.bytes += nb
-	return true
-}
-
-// putLabelCopy stores an owned copy of l under the same caps as putLabel.
-// The copy is made only once admission is certain, so a full cache costs
-// nothing. Arena-backed labels go through here: the cache must own its
-// entries, and the arena scratch is overwritten by the next evaluation.
-func (c *vertexDistCache) putLabelCopy(u socialnet.UserID, l *roadnet.HubLabel) bool {
-	nb := int64(12 * l.Len())
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.labels[u]; ok {
-		return false
-	}
-	if len(c.arrays)+len(c.labels) >= c.maxEntries || c.bytes+nb > c.maxBytes {
-		c.rejected++
-		return false
-	}
-	c.labels[u] = &roadnet.HubLabel{
-		Hubs: append([]int32(nil), l.Hubs...),
-		Dist: append([]float64(nil), l.Dist...),
-	}
-	c.bytes += nb
-	return true
-}
-
-// arrayCapacityLeft reports how many more one-to-all arrays of nb bytes
-// each the cache can admit right now. Advisory under concurrency (putArray
-// re-checks under the lock); the fold path uses it to size batches so that
-// every folded array is guaranteed a cache slot when workers don't race.
-func (c *vertexDistCache) arrayCapacityLeft(nb int64) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	left := c.maxEntries - (len(c.arrays) + len(c.labels))
-	if byBytes := int((c.maxBytes - c.bytes) / nb); byBytes < left {
-		left = byBytes
-	}
-	if left < 0 {
-		left = 0
-	}
-	return left
-}
-
-// entries and sizeBytes report occupancy (for tests and tracing).
-func (c *vertexDistCache) entries() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.arrays) + len(c.labels)
-}
-
-func (c *vertexDistCache) sizeBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
-
-// userLabelWith returns u's attachment hub label through the cache,
-// computing it on a miss. The second result reports whether the caller
-// must release the label back to the pool (true exactly when neither the
-// cache, the memo, nor the arena owns it). Only call under a label oracle.
-//
-// With an arena, the miss path computes into the arena's reusable label
-// scratch — no pool traffic at all — and offers the cache an owned copy
-// (the scratch itself is overwritten by the next evaluation, so the cache
-// can never hold it directly). The returned scratch is valid until the
-// next userLabelWith call on the same arena, which is exactly the one-
-// user-at-a-time lifetime the evaluation loop needs.
-func (e *Engine) userLabelWith(c *vertexDistCache, u socialnet.UserID, ar *refineArena) (*roadnet.HubLabel, bool) {
-	if l, ok := c.getLabel(u); ok {
-		return l, false
-	}
-	// Shared sweep memo next: the label is computed once per user across
-	// all concurrent queries and owned by the memo (never pooled), so it
-	// is read-only here just like a cache-owned label.
-	if l, ok := e.sharedUserLabel(u); ok {
-		return l, false
-	}
-	if ar != nil {
-		l := ar.label()
-		before := cap(l.Hubs)
-		e.DS.Road.AttachLabel(e.DS.Users[u].At, l)
-		ar.labelGrew(before)
-		c.putLabelCopy(u, l)
-		return l, false
-	}
-	l := roadnet.AcquireLabel()
-	e.DS.Road.AttachLabel(e.DS.Users[u].At, l)
-	if c.putLabel(u, l) {
-		return l, false
-	}
-	return l, true
-}
-
-// ballKeywords collects the union of a ball's POI keywords, into the
-// arena's reusable bitset when one is available. The set is valid until
-// the next ballKeywords call on the same arena (one anchor at a time).
+// ballKeywords collects the union of a ball's POI keywords into the
+// arena's reusable bitset. The set is valid until the next ballKeywords
+// call on the same arena (one anchor at a time).
 func ballKeywords(ds *model.Dataset, ball []model.POIID, ar *refineArena) TopicSet {
-	var kws TopicSet
-	if ar != nil {
-		kws = ar.keywords(ds.NumTopics)
-	} else {
-		kws = NewTopicSet(ds.NumTopics)
-	}
+	kws := ar.keywords(ds.NumTopics)
 	for _, o := range ball {
 		for _, k := range ds.POIs[o].Keywords {
 			kws.Add(k)
@@ -454,11 +257,13 @@ func ballKeywords(ds *model.Dataset, ball []model.POIID, ar *refineArena) TopicS
 //
 // Under a hub-label oracle it returns the batched label kernel: the ball's
 // target labels are flattened and sorted once (PrepareTargetLabels), and
-// each evaluation is a single simultaneous merge of the user's pooled
+// each evaluation is a single simultaneous merge of the user's stored
 // attachment label against them (roadnet.LabelDists) — no per-pair graph
 // search, no O(V) state. Otherwise it falls back to the array strategy:
-// exact cached one-to-all arrays while no incumbent exists, bound-truncated
-// searches afterwards.
+// exact stored one-to-all arrays while no incumbent exists, bound-truncated
+// searches afterwards (a user whose array the query already pinned keeps
+// reading it). Both read per-user state through the query's view v of the
+// user store.
 //
 // With a keeper, evaluations are clamped at the current shared bound: a
 // ball POI beyond the bound proves M(u) > bound, so the user cannot be in
@@ -473,20 +278,14 @@ func ballKeywords(ds *model.Dataset, ball []model.POIID, ar *refineArena) TopicS
 // locally yields the same flattened label set, so the two paths are
 // interchangeable — the memo just skips the rebuild.
 //
-// ar, when non-nil, is the calling worker's arena: the attachment list,
-// the output buffer, and the source-label scratch come from it instead of
-// fresh allocations, so the steady state allocates nothing per anchor.
-// The evaluator is only valid until the same worker builds its next one
-// (they share the arena's buffers), which the one-anchor-at-a-time worker
-// loop guarantees.
-func (e *Engine) makeMOf(cache *vertexDistCache, ball []model.POIID, tl *roadnet.TargetLabels, keeper *sharedKeeper, ck *roadnet.Checkpoint, ar *refineArena) func(socialnet.UserID) float64 {
+// ar is the calling worker's arena: the attachment list, the output
+// buffer, and the label build scratch come from it, so the steady state
+// allocates nothing per anchor. The evaluator is only valid until the same
+// worker builds its next one (they share the arena's buffers), which the
+// one-anchor-at-a-time worker loop guarantees.
+func (e *Engine) makeMOf(v *userView, ball []model.POIID, tl *roadnet.TargetLabels, keeper *sharedKeeper, ck *roadnet.Checkpoint, ar *refineArena) func(socialnet.UserID) float64 {
 	ds := e.DS
-	var ballAtts []roadnet.Attach
-	if ar != nil {
-		ballAtts = ar.attachBuf(len(ball))
-	} else {
-		ballAtts = make([]roadnet.Attach, len(ball))
-	}
+	ballAtts := ar.attachBuf(len(ball))
 	for i, o := range ball {
 		ballAtts[i] = ds.POIs[o].At
 	}
@@ -500,18 +299,9 @@ func (e *Engine) makeMOf(cache *vertexDistCache, ball []model.POIID, tl *roadnet
 		tl = ds.Road.PrepareTargetLabels(ballAtts)
 	}
 	if tl != nil {
-		var out []float64
-		if ar != nil {
-			out = ar.floatBuf(len(ballAtts))
-		} else {
-			out = make([]float64, len(ballAtts))
-		}
+		out := ar.floatBuf(len(ballAtts))
 		return func(u socialnet.UserID) float64 {
-			lbl, pooled := e.userLabelWith(cache, u, ar)
-			ds.Road.LabelDistsCk(lbl, ds.Users[u].At, tl, bound(), out, ck)
-			if pooled {
-				roadnet.ReleaseLabel(lbl)
-			}
+			ds.Road.LabelDistsCk(e.userLabel(v, u, ar), ds.Users[u].At, tl, bound(), out, ck)
 			m := 0.0
 			for _, d := range out {
 				if math.IsInf(d, 1) {
@@ -525,112 +315,20 @@ func (e *Engine) makeMOf(cache *vertexDistCache, ball []model.POIID, tl *roadnet
 		}
 	}
 	return func(u socialnet.UserID) float64 {
-		if b := bound(); !math.IsInf(b, 1) {
-			if dv, ok := cache.getArray(u); ok {
-				return mFromVertexDist(e, u, ball, dv)
+		b := bound()
+		if math.IsInf(b, 1) || v.isPinned(u) {
+			return mFromVertexDist(e, u, ball, e.userArray(v, u, ck))
+		}
+		m := 0.0
+		for _, d := range ds.Road.DistAttachWithinCk(ds.Users[u].At, b, ballAtts, ck) {
+			if math.IsInf(d, 1) {
+				return math.Inf(1)
 			}
-			dists := ds.Road.DistAttachWithinCk(ds.Users[u].At, b, ballAtts, ck)
-			m := 0.0
-			for _, d := range dists {
-				if math.IsInf(d, 1) {
-					return math.Inf(1)
-				}
-				if d > m {
-					m = d
-				}
+			if d > m {
+				m = d
 			}
-			return m
 		}
-		return mFromVertexDist(e, u, ball, e.userArray(cache, u, ck))
-	}
-}
-
-// userArray returns u's exact one-to-all array through the per-query
-// cache, then the shared sweep memo, falling back to a solo Dijkstra. On
-// a checkpoint trip the result is all-+Inf and is not cached — the
-// userVertexDist discipline, which the memo preserves by charging the
-// metered sweep cost on hits and handing back all-+Inf when that charge
-// trips the budget.
-func (e *Engine) userArray(c *vertexDistCache, u socialnet.UserID, ck *roadnet.Checkpoint) []float64 {
-	if dv, ok := c.getArray(u); ok {
-		return dv
-	}
-	dv, ok := e.sharedUserArray(u, ck)
-	if !ok {
-		dv = e.userVertexDist(u, ck)
-	}
-	if !ck.Stopped() {
-		c.putArray(u, dv)
-	}
-	return dv
-}
-
-// prefoldArrays runs the solo one-to-all sweeps the companion loop is
-// about to issue — one per θ-matching candidate missing from the cache —
-// as a single folded batch (DijkstraMultiBatchCk: k upward frontiers, one
-// shared scan), and parks the resulting arrays in the per-query cache so
-// the loop's evaluations all hit.
-//
-// Folding must never change an answer or a budget trip point, so it only
-// fires when it provably cannot:
-//
-//   - only on the no-incumbent array path (no labels attached, keeper
-//     bound still +Inf) — exactly the path where the loop would run one
-//     full unbounded Dijkstra per user, and where a cached exact array is
-//     what the evaluator reads first anyway;
-//   - never on budgeted queries: the batch charges the checkpoint k units
-//     per swept vertex, the sum of what the solo sweeps would charge, but
-//     in a different interleaving — equal totals, different trip points.
-//     Unbudgeted checkpoints only trip on cancellation, where the query
-//     errors out and no truncated answer exists to compare;
-//   - never when the cross-query memo is on (e.shared) — the memo already
-//     shares sweeps at user granularity and owns its arrays;
-//   - batches are capped to the cache slots actually left, so every folded
-//     array is admitted and consumed — no speculative work the solo path
-//     would not also have done (the SettledWork-parity argument at P=1).
-func (e *Engine) prefoldArrays(cache *vertexDistCache, cand []socialnet.UserID, kws TopicSet, theta float64, keeper *sharedKeeper, ck *roadnet.Checkpoint, ar *refineArena) {
-	ds := e.DS
-	if e.Opts.DisableSweepFold || e.shared != nil || ck.Budgeted() || ds.Road.HasLabels() {
-		return
-	}
-	if keeper == nil || !math.IsInf(keeper.Bound(), 1) {
-		return
-	}
-	var miss []socialnet.UserID
-	if ar != nil {
-		miss = ar.prefoldBuf()
-		defer func() { ar.keepPrefold(miss) }()
-	}
-	for _, u := range cand {
-		if MatchScoreSet(ds.Users[u].Interests, kws) < theta {
-			continue
-		}
-		if _, ok := cache.getArray(u); ok {
-			continue
-		}
-		miss = append(miss, u)
-	}
-	if room := cache.arrayCapacityLeft(int64(8 * ds.Road.NumVertices())); len(miss) > room {
-		miss = miss[:room]
-	}
-	if len(miss) < 2 {
-		return // nothing to fold; a solo sweep is already optimal
-	}
-	seeds := make([][]roadnet.Seed, len(miss))
-	for i, u := range miss {
-		at := ds.Users[u].At
-		edge := ds.Road.EdgeAt(at.Edge)
-		seeds[i] = []roadnet.Seed{
-			{Vertex: edge.U, Dist: at.T * edge.Weight},
-			{Vertex: edge.V, Dist: (1 - at.T) * edge.Weight},
-		}
-	}
-	dvs := ds.Road.DijkstraMultiBatchCk(seeds, ck)
-	if ck.Stopped() {
-		return // all-+Inf arrays must not be cached (userVertexDist rule)
-	}
-	for i, u := range miss {
-		cache.putArray(u, dvs[i])
+		return m
 	}
 }
 
@@ -648,7 +346,7 @@ func (e *Engine) prefoldArrays(cache *vertexDistCache, cand []socialnet.UserID, 
 // bound survive, and ties are resolved by the keeper's canonical order —
 // that is why any worker schedule returns identical answers (the
 // determinism argument in docs/ALGORITHMS.md).
-func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, probe probeResult, q *qctx) []Result {
+func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, probe Result, q *qctx) []Result {
 	st := q.st
 	ds := e.DS
 	uqUser := ds.User(uq)
@@ -677,14 +375,12 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 	st.CandAnchors = len(tr.candAnchors)
 
 	// Exact distances from u_q to every candidate anchor (one batched label
-	// merge under a label oracle, one cached one-to-all otherwise); anchors
+	// merge under a label oracle, one stored one-to-all otherwise); anchors
 	// are then processed in ascending exact distance so the search can stop
 	// as soon as the next anchor's lower bound meets the incumbent.
-	distCache := probe.cache
-	if distCache == nil {
-		distCache = newVertexDistCache()
-	}
-	duqs := e.anchorDists(distCache, uq, tr.candAnchors, q.ck)
+	ar := e.acquireArena()
+	duqs := e.anchorDists(q.users, uq, tr.candAnchors, q.ck, ar)
+	e.releaseArena(ar)
 	type anchorCand struct {
 		id  model.POIID
 		duq float64
@@ -701,14 +397,14 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 	})
 
 	keeper := newSharedKeeper(k)
-	if probe.res.Found {
-		keeper.add(probe.res) // feasible: a sound incumbent
+	if probe.Found {
+		keeper.add(probe) // feasible: a sound incumbent
 	}
 	var pairs atomic.Int64
 
 	processAnchor := func(ac anchorCand, ar *refineArena) {
 		ball, tl := e.anchorBall(ac.id, p.R, q.ck)
-		// A trip during ball construction leaves a degenerate ball; cached
+		// A trip during ball construction leaves a degenerate ball; stored
 		// exact arrays could still price it finitely, so bail before any
 		// result can be built on the wrong R set.
 		if q.ck.Stopped() {
@@ -721,7 +417,7 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 		// M(u) = max_{o in ball} dist_RN(u, o); the group cost is
 		// max_{u in S} M(u). See makeMOf for the label-kernel and
 		// bound-truncation strategies and their soundness.
-		mOf := e.makeMOf(distCache, ball, tl, keeper, q.ck, ar)
+		mOf := e.makeMOf(q.users, ball, tl, keeper, q.ck, ar)
 		mUq := mOf(uq)
 		// Strict comparison: a cost exactly equal to the bound may still
 		// tie the k-th best and win the canonical tie-break, so it must
@@ -749,12 +445,8 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 
 		// Eligible companions for this anchor: θ-match the ball and have a
 		// useful group cost.
-		var comps []anchorComp
-		if ar != nil {
-			comps = ar.compsBuf()
-			defer func() { ar.keepComps(comps) }()
-		}
-		anchorRD := e.poiRDOf(ac.id)
+		comps := ar.compsBuf()
+		defer func() { ar.keepComps(comps) }()
 		// Cheap feasibility count first: without tau-1 theta-matching
 		// candidates the anchor is dead, no distance work needed.
 		matching := 0
@@ -766,20 +458,17 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 		if matching < p.Tau-1 {
 			return
 		}
-		// Fold the one-to-all sweeps the loop below is about to run solo
-		// into one batched downward pass (no-op except on the unbudgeted
-		// no-incumbent array path; see prefoldArrays for the parity rules).
-		e.prefoldArrays(distCache, cand, kws, p.Theta, keeper, q.ck, ar)
+		anchorRD := e.poiRDOf(ac.id)
 		for _, u := range cand {
 			if MatchScoreSet(ds.Users[u].Interests, kws) < p.Theta {
 				continue
 			}
 			// Pivot lower bound of dist(u, anchor) before paying for the
-			// exact per-user Dijkstra: M(u) >= dist(u, anchor). Gated off
-			// once road edges have been appended — stored pivot rows then
-			// overestimate and the "lower bound" could prune a true
-			// companion (roadPivotSafe).
-			if e.roadPivotSafe() && roadnet.LowerBound(e.userRDOf(u), anchorRD) > keeper.Bound() {
+			// exact evaluation: M(u) >= dist(u, anchor). Gated off once
+			// road edges have been appended — stored pivot rows then
+			// overestimate (roadPivotSafe). See pivotBoundExceeds for the
+			// rounding margin that keeps ties.
+			if e.roadPivotSafe() && pivotBoundExceeds(e.userRDOf(u), anchorRD, keeper.Bound()) {
 				continue
 			}
 			m := mOf(u)
@@ -792,12 +481,7 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 			return
 		}
 		sort.Slice(comps, func(i, j int) bool { return comps[i].m < comps[j].m })
-		var users []socialnet.UserID
-		if ar != nil {
-			users = ar.userBuf(len(comps))
-		} else {
-			users = make([]socialnet.UserID, len(comps))
-		}
+		users := ar.userBuf(len(comps))
 		mv := map[socialnet.UserID]float64{uq: mUq}
 		for i, c := range comps {
 			users[i] = c.u
@@ -888,6 +572,35 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 		sort.Slice(items[i].R, func(a, b int) bool { return items[i].R[a] < items[i].R[b] })
 	}
 	return items
+}
+
+// pivotMargin is the relative rounding margin of pivotBoundExceeds.
+const pivotMargin = 1e-9
+
+// pivotBoundExceeds reports whether the pivot lower bound on the road
+// distance between two objects with pivot rows du and dv proves that
+// distance, as the engine computes it, exceeds bound. A pivot with both
+// rows finite gives |du[k]−dv[k]| <= d exactly; in floating point every
+// row and every computed distance is a sum along a path of at most n
+// edges, within a relative γ ≈ n·2⁻⁵³ of its exact value, so the computed
+// bound can overshoot the computed distance by up to about
+// 2γ·(du[k]+dv[k]). Without a margin it does at a tie — one ULP above an
+// M(u) equal to the bound — and the tied companion is dropped only once
+// other workers have lowered the bound to it, a schedule-dependent answer.
+// Subtracting pivotMargin·(du[k]+dv[k]) covers γ for paths of up to about
+// 10⁶ edges, so a pruned pair's computed distance is strictly above the
+// bound and ties always reach the exact evaluation.
+func pivotBoundExceeds(du, dv []float64, bound float64) bool {
+	for k := range du {
+		a, b := du[k], dv[k]
+		if math.IsInf(a, 1) || math.IsInf(b, 1) {
+			continue // pivot unreachable from one side: no information
+		}
+		if math.Abs(a-b)-pivotMargin*(a+b) > bound {
+			return true
+		}
+	}
+	return false
 }
 
 // mFromVertexDist evaluates M(u) from a full per-user vertex distance
@@ -1066,13 +779,13 @@ func (e *Engine) ballAround(anchor model.POIID, radius float64, ck *roadnet.Chec
 }
 
 // anchorDists computes exact dist_RN(u_q, anchor) for every candidate
-// anchor. Under a label oracle this is one batched merge of u_q's pooled
+// anchor. Under a label oracle this is one batched merge of u_q's stored
 // attachment label against the anchors' prepared target labels — no O(V)
-// array is ever materialized; otherwise it reads a cached one-to-all array.
-// Both paths apply the same-edge direct route, so the value is the true
-// network distance and hence a sound lower bound on any group cost the
-// anchor can produce (the anchor is in its own ball).
-func (e *Engine) anchorDists(cache *vertexDistCache, uq socialnet.UserID, anchors []model.POIID, ck *roadnet.Checkpoint) []float64 {
+// array is ever materialized; otherwise it reads u_q's stored one-to-all
+// array. Both paths apply the same-edge direct route, so the value is the
+// true network distance and hence a sound lower bound on any group cost
+// the anchor can produce (the anchor is in its own ball).
+func (e *Engine) anchorDists(v *userView, uq socialnet.UserID, anchors []model.POIID, ck *roadnet.Checkpoint, ar *refineArena) []float64 {
 	ds := e.DS
 	atts := make([]roadnet.Attach, len(anchors))
 	for i, a := range anchors {
@@ -1080,23 +793,10 @@ func (e *Engine) anchorDists(cache *vertexDistCache, uq socialnet.UserID, anchor
 	}
 	out := make([]float64, len(anchors))
 	if tl := ds.Road.PrepareTargetLabels(atts); tl != nil {
-		lbl, pooled := e.userLabelWith(cache, uq, nil)
-		ds.Road.LabelDistsCk(lbl, ds.Users[uq].At, tl, math.Inf(1), out, ck)
-		if pooled {
-			roadnet.ReleaseLabel(lbl)
-		}
+		ds.Road.LabelDistsCk(e.userLabel(v, uq, ar), ds.Users[uq].At, tl, math.Inf(1), out, ck)
 		return out
 	}
-	uqDist, ok := cache.getArray(uq)
-	if !ok {
-		uqDist = e.userArray(cache, uq, ck)
-		if ck.Stopped() {
-			for i := range out {
-				out[i] = math.Inf(1)
-			}
-			return out
-		}
-	}
+	uqDist := e.userArray(v, uq, ck)
 	uqAt := ds.Users[uq].At
 	for i, at := range atts {
 		d := e.attachDistVia(at, uqDist)
@@ -1113,7 +813,7 @@ func (e *Engine) anchorDists(cache *vertexDistCache, uq socialnet.UserID, anchor
 
 // userVertexDist returns exact road distances from the user's home to every
 // vertex (one Dijkstra). With a tripped checkpoint the result is all-+Inf
-// and must not be cached.
+// and must not be stored.
 func (e *Engine) userVertexDist(u socialnet.UserID, ck *roadnet.Checkpoint) []float64 {
 	at := e.DS.Users[u].At
 	edge := e.DS.Road.EdgeAt(at.Edge)

@@ -52,17 +52,18 @@ import (
 //     old topology in. AddRoadVertex sits in the middle: an isolated
 //     vertex changes no distance, so it touches nothing.
 
-// Capacity bounds for the shared memo. Balls are LRU-evicted; user sweep
-// entries are reject-on-full like the per-query vertexDistCache (the
-// per-query path still works when the memo is full, so occupancy never
-// affects answers). Array bytes are checked up front (the size is known
-// before the sweep runs); labels are tiny and only bounded by the entry
-// cap.
+// Capacity bounds. Balls and user entries are both LRU-evicted, so a
+// full memo costs a rebuild, never a fallback path, and occupancy never
+// affects answers. The query-scope caps size the private user store a
+// query gets when the memo is off, and the pinned set of every query (see
+// userArray). Array bytes are known once the sweep ran, label bytes once
+// the label is built, so user entries are byte-accounted on completion.
 const (
-	sharedBallMaxEntries  = 4096
-	sharedUserMaxEntries  = 16384
-	sharedUserMaxBytes    = 256 << 20
-	sharedLabelBytesGuess = 512 // accounting estimate before a label is built
+	sharedBallMaxEntries = 4096
+	sharedUserMaxEntries = 16384
+	sharedUserMaxBytes   = 256 << 20
+	queryUserMaxEntries  = 512
+	queryUserMaxBytes    = 32 << 20
 )
 
 type ballKey struct {
@@ -84,17 +85,6 @@ type ballEntry struct {
 	ok   bool
 }
 
-// userEntry is one memoized per-user sweep: the exact one-to-all array
-// (plain oracles) or the attachment hub label (label oracles). Same
-// write-once-then-close discipline as ballEntry.
-type userEntry struct {
-	done  chan struct{}
-	array []float64
-	label *roadnet.HubLabel // owned by the memo, never pooled
-	work  int64
-	ok    bool
-}
-
 type sharedWork struct {
 	mu      sync.Mutex
 	version uint64 // road-data version; bumped by every AddPOI
@@ -102,18 +92,16 @@ type sharedWork struct {
 	balls   map[ballKey]*ballEntry
 	ballLRU *list.List // front = most recently used; values are ballKey
 
-	users     map[socialnet.UserID]*userEntry
-	userBytes int64
+	users *userStore
 
-	ballHits, ballMisses, ballEvict   atomic.Int64
-	sweepHits, sweepMisses, sweepFull atomic.Int64
+	ballHits, ballMisses, ballEvict atomic.Int64
 }
 
 func newSharedWork() *sharedWork {
 	return &sharedWork{
 		balls:   map[ballKey]*ballEntry{},
 		ballLRU: list.New(),
-		users:   map[socialnet.UserID]*userEntry{},
+		users:   newUserStore(sharedUserMaxEntries, sharedUserMaxBytes),
 	}
 }
 
@@ -128,8 +116,11 @@ type SharedWorkStats struct {
 	BallEvictions int64
 	BallEntries   int
 
-	SweepHits     int64
-	SweepMisses   int64
+	SweepHits   int64
+	SweepMisses int64
+	// SweepRejected counts user entries evicted from the memo (LRU, under
+	// the entry and byte caps). The name predates eviction, when a full
+	// memo turned new entries away instead.
 	SweepRejected int64
 	SweepEntries  int
 	SweepBytes    int64
@@ -147,16 +138,15 @@ func (e *Engine) SharedWorkStats() SharedWorkStats {
 		BallHits:      sw.ballHits.Load(),
 		BallMisses:    sw.ballMisses.Load(),
 		BallEvictions: sw.ballEvict.Load(),
-		SweepHits:     sw.sweepHits.Load(),
-		SweepMisses:   sw.sweepMisses.Load(),
-		SweepRejected: sw.sweepFull.Load(),
+		SweepHits:     sw.users.hits.Load(),
+		SweepMisses:   sw.users.misses.Load(),
+		SweepRejected: sw.users.evictions.Load(),
 	}
 	sw.mu.Lock()
 	st.RoadVersion = sw.version
 	st.BallEntries = len(sw.balls)
-	st.SweepEntries = len(sw.users)
-	st.SweepBytes = sw.userBytes
 	sw.mu.Unlock()
+	st.SweepEntries, st.SweepBytes = sw.users.occupancy()
 	return st
 }
 
@@ -297,108 +287,241 @@ func (sw *sharedWork) noteRoadChange() {
 		sw.removeBallLocked(key)
 		sw.ballEvict.Add(1)
 	}
-	sw.users = map[socialnet.UserID]*userEntry{}
-	sw.userBytes = 0
 	sw.mu.Unlock()
+	sw.users.reset()
 }
 
-// userSweep returns u's memoized sweep entry, singleflight-building it
-// with build on a miss. build runs outside the memo lock and must fill
-// the entry and return true; returning false (or panicking) unpublishes
-// the entry. A nil return means the memo is at capacity — the caller runs
-// the per-query path, exactly as if the memo were disabled.
-func (sw *sharedWork) userSweep(u socialnet.UserID, arrayBytes int64, build func(*userEntry) bool) *userEntry {
-	sw.mu.Lock()
-	ent, ok := sw.users[u]
-	if ok {
-		sw.mu.Unlock()
-		<-ent.done
+// userStore is the one store of per-user distance state: the exact
+// one-to-all array of a user's home (plain oracles) or its attachment hub
+// label (label oracles). The engine owns one when the shared-work memo is
+// on; otherwise every query owns a private one under the query-scope caps.
+// Entries are singleflighted — the first caller to miss builds outside the
+// lock, later callers wait on ready — and LRU-evicted under the entry and
+// byte caps, in-flight entries included (the leader's completion check
+// compares pointers, and waiters already holding the entry still see its
+// result). Arrays are built under a metering checkpoint that never trips,
+// so an entry is always exact; its metered cost is billed to the queries
+// that read it under userArray's charge-once rule.
+type userStore struct {
+	mu         sync.Mutex
+	entries    map[socialnet.UserID]*userEntry
+	lru        userEntry // list sentinel: lru.next is the most recently used
+	bytes      int64
+	maxEntries int
+	maxBytes   int64
+
+	hits, misses, evictions atomic.Int64
+}
+
+// userEntry is one stored user: an array entry when array is non-nil, a
+// label entry otherwise. ready is released when the build finishes (ok
+// true) or is abandoned by a panic (ok false); array, label and work are
+// written once by the leader before the release and read-only afterwards.
+type userEntry struct {
+	ready      sync.WaitGroup
+	u          socialnet.UserID
+	prev, next *userEntry // LRU links; guarded by userStore.mu
+	bytes      int64      // accounted size; guarded by userStore.mu
+
+	array []float64
+	label roadnet.HubLabel // meaningful only when array is nil
+	work  int64            // metered build cost of array
+	ok    bool
+}
+
+func newUserStore(maxEntries int, maxBytes int64) *userStore {
+	s := &userStore{
+		entries:    map[socialnet.UserID]*userEntry{},
+		maxEntries: maxEntries,
+		maxBytes:   maxBytes,
+	}
+	s.lru.prev, s.lru.next = &s.lru, &s.lru
+	return s
+}
+
+// pushFront links ent as the most recently used entry; callers hold s.mu.
+func (s *userStore) pushFront(ent *userEntry) {
+	ent.prev, ent.next = &s.lru, s.lru.next
+	s.lru.next.prev = ent
+	s.lru.next = ent
+}
+
+// unlink removes ent from the LRU list; callers hold s.mu.
+func (s *userStore) unlink(ent *userEntry) {
+	ent.prev.next = ent.next
+	ent.next.prev = ent.prev
+}
+
+// get returns u's entry, building it with build on a miss. build runs
+// outside the lock and fills array or label. nil means the build was
+// abandoned (a panic unwound through its leader); the caller computes
+// solo and the panic surfaces through the leader's own query.
+func (s *userStore) get(u socialnet.UserID, build func(*userEntry)) *userEntry {
+	s.mu.Lock()
+	if ent, ok := s.entries[u]; ok {
+		s.unlink(ent)
+		s.pushFront(ent)
+		s.mu.Unlock()
+		ent.ready.Wait()
 		if !ent.ok {
 			return nil
 		}
-		sw.sweepHits.Add(1)
+		s.hits.Add(1)
 		return ent
 	}
-	nb := arrayBytes
-	if nb == 0 {
-		nb = sharedLabelBytesGuess
-	}
-	if len(sw.users) >= sharedUserMaxEntries || sw.userBytes+nb > sharedUserMaxBytes {
-		sw.mu.Unlock()
-		sw.sweepFull.Add(1)
-		return nil
-	}
-	ent = &userEntry{done: make(chan struct{})}
-	sw.users[u] = ent
-	sw.userBytes += nb
-	sw.mu.Unlock()
-	sw.sweepMisses.Add(1)
+	ent := &userEntry{u: u}
+	ent.ready.Add(1)
+	s.pushFront(ent)
+	s.entries[u] = ent
+	s.evictLocked()
+	s.mu.Unlock()
+	s.misses.Add(1)
 
 	completed := false
 	defer func() {
 		if !completed {
-			sw.mu.Lock()
-			if sw.users[u] == ent {
-				delete(sw.users, u)
-				sw.userBytes -= nb
+			s.mu.Lock()
+			if s.entries[u] == ent {
+				s.removeLocked(u)
 			}
-			sw.mu.Unlock()
-			close(ent.done)
+			s.mu.Unlock()
+			ent.ready.Done()
 		}
 	}()
-	if !build(ent) {
-		return nil
-	}
+	build(ent)
 	ent.ok = true
 	completed = true
-	close(ent.done)
+	ent.ready.Done()
+
+	s.mu.Lock()
+	if s.entries[u] == ent {
+		ent.bytes = int64(8*len(ent.array) + 12*ent.label.Len())
+		s.bytes += ent.bytes
+		s.evictLocked()
+	}
+	s.mu.Unlock()
 	return ent
 }
 
-// sharedUserArray returns u's exact one-to-all array through the memo,
-// charging the metered sweep cost to ck. ok false means the caller must
-// compute per-query (memo disabled, full, or abandoned build). A true
-// return with a tripped ck hands back an all-+Inf array, matching the
-// solo all-or-nothing abort discipline.
-func (e *Engine) sharedUserArray(u socialnet.UserID, ck *roadnet.Checkpoint) ([]float64, bool) {
-	sw := e.shared
-	if sw == nil {
-		return nil, false
+// evictLocked drops least-recently-used entries until both caps hold;
+// callers hold s.mu.
+func (s *userStore) evictLocked() {
+	for len(s.entries) > s.maxEntries || s.bytes > s.maxBytes {
+		s.removeLocked(s.lru.prev.u)
+		s.evictions.Add(1)
 	}
-	nv := e.DS.Road.NumVertices()
-	ent := sw.userSweep(u, int64(8*nv), func(ent *userEntry) bool {
-		mck := roadnet.NewCheckpoint(nil, nil, 0)
-		ent.array = e.userVertexDist(u, mck)
-		ent.work = mck.Spent()
-		return true
-	})
-	if ent == nil {
-		return nil, false
-	}
-	if ck.Spend(int(ent.work)) {
-		return allInf(nv), true
-	}
-	return ent.array, true
 }
 
-// sharedUserLabel returns u's attachment hub label through the memo. The
-// label is owned by the memo (never returned to the pool). ok false means
-// the caller must run the per-query path.
-func (e *Engine) sharedUserLabel(u socialnet.UserID) (*roadnet.HubLabel, bool) {
-	sw := e.shared
-	if sw == nil {
-		return nil, false
+// removeLocked unlinks u's entry; callers hold s.mu.
+func (s *userStore) removeLocked(u socialnet.UserID) {
+	if ent, ok := s.entries[u]; ok {
+		s.unlink(ent)
+		s.bytes -= ent.bytes
+		delete(s.entries, u)
 	}
-	ent := sw.userSweep(u, 0, func(ent *userEntry) bool {
-		l := new(roadnet.HubLabel)
-		e.DS.Road.AttachLabel(e.DS.Users[u].At, l)
-		ent.label = l
-		return true
+}
+
+// reset drops every entry (the road-topology invalidation).
+func (s *userStore) reset() {
+	s.mu.Lock()
+	s.entries = map[socialnet.UserID]*userEntry{}
+	s.lru.prev, s.lru.next = &s.lru, &s.lru
+	s.bytes = 0
+	s.mu.Unlock()
+}
+
+// occupancy reports the entry count and accounted bytes.
+func (s *userStore) occupancy() (int, int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.entries), s.bytes
+}
+
+// userView is one query's handle on a userStore, plus its pinned set: the
+// users whose one-to-all array this query has read and been charged for.
+// The set holds no distance data. It decides what a read costs (userArray)
+// and which users makeMOf keeps evaluating by array once an incumbent
+// exists, so neither depends on what other queries left in the store.
+type userView struct {
+	store *userStore
+
+	mu          sync.Mutex
+	pinned      map[socialnet.UserID]struct{}
+	pinnedBytes int64
+}
+
+// newUserView gives a query its view: the engine's store when the memo is
+// on, a private query-scope store otherwise.
+func (e *Engine) newUserView() *userView {
+	if e.shared != nil {
+		return &userView{store: e.shared.users}
+	}
+	return &userView{store: newUserStore(queryUserMaxEntries, queryUserMaxBytes)}
+}
+
+// isPinned reports whether the query already read and paid for u's array.
+func (v *userView) isPinned(u socialnet.UserID) bool {
+	v.mu.Lock()
+	_, ok := v.pinned[u]
+	v.mu.Unlock()
+	return ok
+}
+
+// pin adds u (nb array bytes) to the pinned set while the set is under the
+// query-scope caps; past them u stays unpinned.
+func (v *userView) pin(u socialnet.UserID, nb int64) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if _, ok := v.pinned[u]; ok || len(v.pinned) >= queryUserMaxEntries || v.pinnedBytes+nb > queryUserMaxBytes {
+		return
+	}
+	if v.pinned == nil {
+		v.pinned = map[socialnet.UserID]struct{}{}
+	}
+	v.pinned[u] = struct{}{}
+	v.pinnedBytes += nb
+}
+
+// userArray returns u's exact one-to-all array through the query's view.
+// The first read in a query charges the entry's metered sweep cost to ck
+// and pins u; later reads of a pinned user are free, unpinned ones pay
+// again. A budget therefore trips at the same logical work whichever
+// store served the array and whether or not it was evicted in between. A
+// charge that trips ck hands back an all-+Inf array — the all-or-nothing
+// abort of a solo sweep.
+func (e *Engine) userArray(v *userView, u socialnet.UserID, ck *roadnet.Checkpoint) []float64 {
+	ent := v.store.get(u, func(ent *userEntry) {
+		mck := roadnet.NewCheckpoint(nil, nil, 0) // metering only: never trips
+		ent.array = e.userVertexDist(u, mck)
+		ent.work = mck.Spent()
 	})
-	if ent == nil || ent.label == nil {
-		return nil, false
+	if ent == nil || ent.array == nil {
+		return e.userVertexDist(u, ck)
 	}
-	return ent.label, true
+	if v.isPinned(u) {
+		return ent.array
+	}
+	nv := len(ent.array)
+	if ck.Spend(int(ent.work)) {
+		return allInf(nv)
+	}
+	v.pin(u, int64(8*nv))
+	return ent.array
+}
+
+// userLabel returns u's attachment hub label through the query's view. The
+// label is owned by the store and read-only. Building copies it out of the
+// arena's label scratch, so the store's labels are exactly sized. Only call
+// under a label oracle.
+func (e *Engine) userLabel(v *userView, u socialnet.UserID, ar *refineArena) *roadnet.HubLabel {
+	at := e.DS.Users[u].At
+	ent := v.store.get(u, func(ent *userEntry) { ar.attachLabel(e.DS.Road, at, &ent.label) })
+	if ent == nil || ent.array != nil {
+		l := new(roadnet.HubLabel)
+		ar.attachLabel(e.DS.Road, at, l)
+		return l
+	}
+	return &ent.label
 }
 
 func allInf(n int) []float64 {

@@ -160,26 +160,25 @@ func TestBallMemoBudgetDiscipline(t *testing.T) {
 	}
 }
 
-// TestSweepMemoArrays checks the user one-to-all memo against direct
-// Dijkstra, the hit accounting, and the reject-on-full path.
+// TestSweepMemoArrays checks the engine's user store against direct
+// Dijkstra, the hit accounting shared across queries, the budget
+// discipline, and LRU eviction (counted as SweepRejected).
 func TestSweepMemoArrays(t *testing.T) {
 	ds := smallDataset(t, 4)
 	e := buildEngine(t, ds, Options{SharedWork: true})
 
 	u := socialnet.UserID(3)
 	want := e.userVertexDist(u, nil)
-	got, ok := e.sharedUserArray(u, nil)
-	if !ok {
-		t.Fatal("sharedUserArray miss-path failed")
-	}
+	got := e.userArray(e.newUserView(), u, nil)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("memoized array differs from direct Dijkstra")
 	}
 	if st := e.SharedWorkStats(); st.SweepMisses != 1 || st.SweepHits != 0 {
 		t.Fatalf("after first fetch: hits=%d misses=%d, want 0/1", st.SweepHits, st.SweepMisses)
 	}
-	if again, ok := e.sharedUserArray(u, nil); !ok || &again[0] != &got[0] {
-		t.Fatal("second fetch did not share the memoized array")
+	// A second query shares the same array.
+	if again := e.userArray(e.newUserView(), u, nil); &again[0] != &got[0] {
+		t.Fatal("second query did not share the memoized array")
 	}
 	if st := e.SharedWorkStats(); st.SweepHits != 1 {
 		t.Fatalf("sweep hits = %d, want 1", st.SweepHits)
@@ -188,24 +187,23 @@ func TestSweepMemoArrays(t *testing.T) {
 	// A budget too small for the metered sweep yields all-+Inf (the solo
 	// all-or-nothing abort), not the shared exact array.
 	tiny := roadnet.NewCheckpoint(nil, nil, 1)
-	dv, ok := e.sharedUserArray(u, tiny)
-	if !ok {
-		t.Fatal("budgeted fetch fell off the memo path")
-	}
-	for _, d := range dv {
+	for _, d := range e.userArray(e.newUserView(), u, tiny) {
 		if !math.IsInf(d, 1) {
 			t.Fatal("budget-tripped hit leaked finite distances")
 		}
 	}
 
-	// Reject-on-full: an entry claiming more bytes than the cap is turned
-	// away and counted; the memo stays usable.
-	sw := e.shared
-	if ent := sw.userSweep(socialnet.UserID(9), sharedUserMaxBytes+1, func(*userEntry) bool { return true }); ent != nil {
-		t.Fatal("over-cap sweep entry admitted")
+	// LRU eviction: with room for one array, a second user's array pushes
+	// the first out; the eviction is counted and the memo stays usable.
+	e.shared.users.maxBytes = int64(8 * len(want))
+	e.userArray(e.newUserView(), 9, nil)
+	st := e.SharedWorkStats()
+	if st.SweepRejected != 1 || st.SweepEntries != 1 || st.SweepBytes != int64(8*len(want)) {
+		t.Fatalf("after eviction: rejected=%d entries=%d bytes=%d, want 1/1/%d",
+			st.SweepRejected, st.SweepEntries, st.SweepBytes, 8*len(want))
 	}
-	if st := e.SharedWorkStats(); st.SweepRejected != 1 {
-		t.Fatalf("sweep rejected = %d, want 1", st.SweepRejected)
+	if again := e.userArray(e.newUserView(), u, nil); !reflect.DeepEqual(again, want) {
+		t.Fatal("rebuilt array differs after eviction")
 	}
 }
 
@@ -216,10 +214,10 @@ func TestSweepMemoLabels(t *testing.T) {
 	ds := smallDataset(t, 4)
 	e := buildEngine(t, ds, Options{SharedWork: true})
 	ds.Road.SetDistanceOracle(hl.Build(ds.Road))
+	defer ds.Road.SetDistanceOracle(nil)
 
 	u := socialnet.UserID(5)
-	want := roadnet.AcquireLabel()
-	defer roadnet.ReleaseLabel(want)
+	want := new(roadnet.HubLabel)
 	if !ds.Road.AttachLabel(ds.Users[u].At, want) {
 		t.Fatal("no label oracle attached")
 	}
@@ -231,14 +229,13 @@ func TestSweepMemoLabels(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			labels[i], _ = e.sharedUserLabel(u)
+			ar := e.acquireArena()
+			defer e.releaseArena(ar)
+			labels[i] = e.userLabel(e.newUserView(), u, ar)
 		}(i)
 	}
 	wg.Wait()
 	for i, l := range labels {
-		if l == nil {
-			t.Fatalf("caller %d got no label", i)
-		}
 		if l != labels[0] {
 			t.Fatalf("caller %d got a different label instance (no sharing)", i)
 		}
@@ -252,7 +249,8 @@ func TestSweepMemoLabels(t *testing.T) {
 }
 
 // TestSharedWorkDisabled: with Options.SharedWork off the helpers must be
-// transparent passthroughs — no memo, zero stats, identical values.
+// transparent passthroughs — no memo, a private user store per query,
+// zero stats, identical values.
 func TestSharedWorkDisabled(t *testing.T) {
 	ds := smallDataset(t, 4)
 	e := buildEngine(t, ds, Options{})
@@ -263,11 +261,11 @@ func TestSharedWorkDisabled(t *testing.T) {
 	if want := e.ballAround(0, 2, nil); !reflect.DeepEqual(ball, want) {
 		t.Fatalf("disabled anchorBall = %v, want %v", ball, want)
 	}
-	if _, ok := e.sharedUserArray(1, nil); ok {
-		t.Fatal("disabled sharedUserArray claimed a hit")
+	if e.newUserView().store == e.newUserView().store {
+		t.Fatal("disabled engine shares a user store across queries")
 	}
-	if _, ok := e.sharedUserLabel(1); ok {
-		t.Fatal("disabled sharedUserLabel claimed a hit")
+	if got := e.userArray(e.newUserView(), 1, nil); !reflect.DeepEqual(got, e.userVertexDist(1, nil)) {
+		t.Fatal("private-store array differs from direct Dijkstra")
 	}
 	if st := e.SharedWorkStats(); st.Enabled || st.BallMisses != 0 {
 		t.Fatalf("disabled stats = %+v, want zero", st)
